@@ -1,3 +1,4 @@
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use rest_core::{Mode, RestExceptionKind, Token};
@@ -7,6 +8,7 @@ use rest_obs::{AuditEntry, AuditLog, CpiComponent, Gauges};
 
 use crate::bpred::BranchPredictor;
 use crate::config::CoreConfig;
+use crate::ring::Ring;
 use crate::stats::CoreStats;
 use crate::trace::{PipelineTrace, TraceEntry};
 
@@ -24,12 +26,116 @@ struct StoreRec {
 }
 
 impl StoreRec {
+    /// Whether `[addr, addr+size)` shares a byte with this store's
+    /// `[self.addr, self.addr+self.size)`. Both are half-open ranges in
+    /// unbounded arithmetic: a range ending at or past the top of the
+    /// address space neither overflows nor wraps to address 0.
     fn overlaps(&self, addr: u64, size: u64) -> bool {
-        self.addr < addr + size && addr < self.addr + self.size
+        match self.addr.cmp(&addr) {
+            Ordering::Less => addr - self.addr < self.size,
+            Ordering::Greater => self.addr - addr < size,
+            Ordering::Equal => size > 0 && self.size > 0,
+        }
     }
 
+    /// Whether `[addr, addr+size)` lies within this store's range, in
+    /// the same overflow-free arithmetic as [`StoreRec::overlaps`].
     fn contains(&self, addr: u64, size: u64) -> bool {
-        self.addr <= addr && addr + size <= self.addr + self.size
+        self.addr <= addr && size <= self.size && addr - self.addr <= self.size - size
+    }
+}
+
+/// 64-byte granule of the [`StoreWindow`] line filter.
+const FILTER_LINE_SHIFT: u32 = 6;
+/// Buckets of the line filter's occupancy counts (a power of two).
+const FILTER_BUCKETS: usize = 256;
+
+/// The lines `[addr, addr+size)` touches (a zero size counts as one
+/// byte) when they are at most two and the range does not run past the
+/// top of the address space; `None` otherwise.
+fn filter_lines(addr: u64, size: u64) -> Option<(u64, u64)> {
+    let last = addr.checked_add(size.max(1) - 1)?;
+    let (first, last) = (addr >> FILTER_LINE_SHIFT, last >> FILTER_LINE_SHIFT);
+    (last - first <= 1).then_some((first, last))
+}
+
+fn bucket(line: u64) -> usize {
+    line as usize & (FILTER_BUCKETS - 1)
+}
+
+/// The youngest `sq_entries` stores, searched by loads (forwarding) and
+/// by store-like micro-ops (the Table I LSQ rules).
+///
+/// Beside the records it keeps per-line occupancy counts (lines hashed
+/// into [`FILTER_BUCKETS`] buckets by their low bits). Two ranges that
+/// overlap share a line, so an access whose lines' buckets are all empty
+/// overlaps no record and skips the scan; the answer is the scan's
+/// either way. Records and accesses spanning more than two lines or
+/// running past `u64::MAX` are not counted and force the scan.
+#[derive(Debug)]
+struct StoreWindow {
+    recs: VecDeque<StoreRec>,
+    capacity: usize,
+    counts: [u32; FILTER_BUCKETS],
+    /// Records whose lines are not in `counts`.
+    uncounted: usize,
+}
+
+impl StoreWindow {
+    fn new(capacity: usize) -> StoreWindow {
+        StoreWindow {
+            recs: VecDeque::with_capacity(capacity + 1),
+            capacity,
+            counts: [0; FILTER_BUCKETS],
+            uncounted: 0,
+        }
+    }
+
+    /// Adds or removes `rec`'s lines from the occupancy counts.
+    fn count(&mut self, rec: &StoreRec, add: bool) {
+        let update = |c: &mut u32| if add { *c += 1 } else { *c -= 1 };
+        match filter_lines(rec.addr, rec.size) {
+            Some((first, last)) => {
+                update(&mut self.counts[bucket(first)]);
+                if last != first {
+                    update(&mut self.counts[bucket(last)]);
+                }
+            }
+            None if add => self.uncounted += 1,
+            None => self.uncounted -= 1,
+        }
+    }
+
+    /// Appends `rec`, dropping the oldest record beyond capacity.
+    fn push(&mut self, rec: StoreRec) {
+        self.count(&rec, true);
+        self.recs.push_back(rec);
+        while self.recs.len() > self.capacity {
+            let old = self.recs.pop_front().expect("window is non-empty");
+            self.count(&old, false);
+        }
+    }
+
+    /// The youngest record still in flight at `at` (not drained by
+    /// then) that overlaps `[addr, addr+size)`.
+    fn youngest_overlapping(&self, addr: u64, size: u64, at: u64) -> Option<StoreRec> {
+        if self.uncounted == 0 {
+            if let Some((first, last)) = filter_lines(addr, size) {
+                if self.counts[bucket(first)] == 0 && self.counts[bucket(last)] == 0 {
+                    return None;
+                }
+            }
+        }
+        self.scan(addr, size, at)
+    }
+
+    /// [`StoreWindow::youngest_overlapping`] without the line filter.
+    fn scan(&self, addr: u64, size: u64, at: u64) -> Option<StoreRec> {
+        self.recs
+            .iter()
+            .rev()
+            .find(|s| s.drain_done > at && s.overlaps(addr, size))
+            .copied()
     }
 }
 
@@ -61,32 +167,33 @@ pub struct Pipeline {
     redirect_at: u64,
     cur_fetch_line: u64,
 
-    // Scoreboards.
+    // Scoreboards: each ring holds the stamp its resource frees at,
+    // one slot per entry (or unit), in allocation order.
     reg_ready: [u64; 32],
-    disp_ring: Vec<u64>,
-    commit_ring: Vec<u64>,
-    rob_ring: Vec<u64>,
-    iq_ring: Vec<u64>,
-    lq_ring: Vec<u64>,
-    sq_ring: Vec<u64>,
-    alu_ring: Vec<u64>,
-    mul_ring: Vec<u64>,
-    port_ring: Vec<u64>,
+    /// Dispatch cycles (dispatch width).
+    disp_ring: Ring,
+    /// Commit cycles (commit width).
+    commit_ring: Ring,
+    /// ROB entries free at commit.
+    rob_ring: Ring,
+    /// IQ entries free at issue.
+    iq_ring: Ring,
+    /// LQ entries free at the load's commit.
+    lq_ring: Ring,
+    /// SQ entries free when the store has drained.
+    sq_ring: Ring,
+    alu_ring: Ring,
+    mul_ring: Ring,
+    /// L1-D ports (loads and draining stores).
+    port_ring: Ring,
     div_free: u64,
     sq_drain_free: u64,
 
-    // Counters.
-    n: u64,
-    n_load: u64,
-    n_store: u64,
-    n_alu: u64,
-    n_mul: u64,
-    n_mem: u64,
     last_commit: u64,
     /// Dispatch barrier used by the serialise-rest-ops ablation.
     barrier_at: u64,
 
-    store_window: VecDeque<StoreRec>,
+    store_window: StoreWindow,
     stats: CoreStats,
     tracer: Option<PipelineTrace>,
     /// Dispatch frontier — "now" for occupancy gauges.
@@ -102,15 +209,15 @@ impl Pipeline {
     pub fn new(cfg: CoreConfig, hier: Hierarchy, mode: Mode) -> Pipeline {
         let bpred = BranchPredictor::new(cfg.bpred_history_bits, cfg.btb_entries, cfg.ras_depth);
         Pipeline {
-            disp_ring: vec![0; cfg.issue_width],
-            commit_ring: vec![0; cfg.commit_width],
-            rob_ring: vec![0; cfg.rob_entries],
-            iq_ring: vec![0; cfg.iq_entries],
-            lq_ring: vec![0; cfg.lq_entries],
-            sq_ring: vec![0; cfg.sq_entries],
-            alu_ring: vec![0; cfg.alu_units],
-            mul_ring: vec![0; cfg.mul_units],
-            port_ring: vec![0; cfg.mem_ports],
+            disp_ring: Ring::new(cfg.issue_width),
+            commit_ring: Ring::new(cfg.commit_width),
+            rob_ring: Ring::new(cfg.rob_entries),
+            iq_ring: Ring::new(cfg.iq_entries),
+            lq_ring: Ring::new(cfg.lq_entries),
+            sq_ring: Ring::new(cfg.sq_entries),
+            alu_ring: Ring::new(cfg.alu_units),
+            mul_ring: Ring::new(cfg.mul_units),
+            port_ring: Ring::new(cfg.mem_ports),
             div_free: 0,
             sq_drain_free: 0,
             next_fetch_cycle: 0,
@@ -118,15 +225,9 @@ impl Pipeline {
             redirect_at: 0,
             cur_fetch_line: u64::MAX,
             reg_ready: [0; 32],
-            n: 0,
-            n_load: 0,
-            n_store: 0,
-            n_alu: 0,
-            n_mul: 0,
-            n_mem: 0,
             last_commit: 0,
             barrier_at: 0,
-            store_window: VecDeque::new(),
+            store_window: StoreWindow::new(cfg.sq_entries),
             stats: CoreStats::default(),
             tracer: None,
             last_disp: 0,
@@ -185,12 +286,11 @@ impl Pipeline {
     /// sampling is enabled.
     pub fn gauges(&mut self) -> Gauges {
         let now = self.last_disp;
-        let count = |ring: &[u64]| ring.iter().filter(|&&c| c > now).count() as u64;
         let mut g = Gauges {
-            rob: count(&self.rob_ring),
-            iq: count(&self.iq_ring),
-            lq: count(&self.lq_ring),
-            sq: count(&self.sq_ring),
+            rob: self.rob_ring.count_after(now),
+            iq: self.iq_ring.count_after(now),
+            lq: self.lq_ring.count_after(now),
+            sq: self.sq_ring.count_after(now),
             ..Gauges::default()
         };
         self.hier.fill_gauges(now, &mut g);
@@ -213,7 +313,7 @@ impl Pipeline {
 
     /// Processes one micro-op of the oracle stream.
     pub fn process(&mut self, d: &DynInst, mem: &dyn LineReader, token: &Token) {
-        let i = self.n as usize;
+        let seq = self.stats.uops;
         self.stats.uops += 1;
         self.stats.note_component(d.component);
         // Commit frontier before this micro-op: its commit advances the
@@ -254,36 +354,36 @@ impl Pipeline {
         let mut rob_stall = 0u64;
         let mut iq_stall = 0u64;
         let mut lsq_stall = 0u64;
-        let rob_limit = self.rob_ring[i % self.cfg.rob_entries];
+        let rob_limit = self.rob_ring.oldest();
         if rob_limit > disp {
             self.stats.rob_stall_cycles += rob_limit - disp;
             rob_stall = rob_limit - disp;
             disp = rob_limit;
         }
-        let iq_limit = self.iq_ring[i % self.cfg.iq_entries];
+        let iq_limit = self.iq_ring.oldest();
         if iq_limit > disp {
             self.stats.iq_stall_cycles += iq_limit - disp;
             iq_stall = iq_limit - disp;
             disp = iq_limit;
         }
         if d.kind == OpKind::Load {
-            let lim = self.lq_ring[self.n_load as usize % self.cfg.lq_entries];
+            let lim = self.lq_ring.oldest();
             if lim > disp {
                 self.stats.lsq_stall_cycles += lim - disp;
                 lsq_stall = lim - disp;
                 disp = lim;
             }
         } else if d.kind.is_store_like() {
-            let lim = self.sq_ring[self.n_store as usize % self.cfg.sq_entries];
+            let lim = self.sq_ring.oldest();
             if lim > disp {
                 self.stats.lsq_stall_cycles += lim - disp;
                 lsq_stall = lim - disp;
                 disp = lim;
             }
         }
-        let width_limit = self.disp_ring[i % self.cfg.issue_width] + 1;
+        let width_limit = self.disp_ring.oldest() + 1;
         disp = disp.max(width_limit);
-        self.disp_ring[i % self.cfg.issue_width] = disp;
+        self.disp_ring.push(disp);
         self.last_disp = self.last_disp.max(disp);
 
         // ---- Issue readiness ----
@@ -302,17 +402,13 @@ impl Pipeline {
         // ---- Execute ----
         let (issue, complete, drained): (u64, u64, Option<StoreRec>) = match d.kind {
             OpKind::IntAlu | OpKind::Branch => {
-                let u = self.n_alu as usize % self.cfg.alu_units;
-                let issue = ready.max(self.alu_ring[u]);
-                self.alu_ring[u] = issue + 1;
-                self.n_alu += 1;
+                let issue = ready.max(self.alu_ring.oldest());
+                self.alu_ring.push(issue + 1);
                 (issue, issue + 1, None)
             }
             OpKind::IntMul => {
-                let u = self.n_mul as usize % self.cfg.mul_units;
-                let issue = ready.max(self.mul_ring[u]);
-                self.mul_ring[u] = issue + 1;
-                self.n_mul += 1;
+                let issue = ready.max(self.mul_ring.oldest());
+                self.mul_ring.push(issue + 1);
                 (issue, issue + self.cfg.mul_latency, None)
             }
             OpKind::IntDiv => {
@@ -343,7 +439,7 @@ impl Pipeline {
         };
 
         // IQ entry frees at issue.
-        self.iq_ring[i % self.cfg.iq_entries] = issue;
+        self.iq_ring.push(issue);
 
         // ---- Branch resolution ----
         if let Some(info) = d.branch {
@@ -356,9 +452,7 @@ impl Pipeline {
         }
 
         // ---- Commit (in order, width-limited) ----
-        let commit_floor = self
-            .last_commit
-            .max(self.commit_ring[i % self.cfg.commit_width] + 1);
+        let commit_floor = self.last_commit.max(self.commit_ring.oldest() + 1);
         let mut commit = commit_floor.max(complete + 1);
         // Cycles this store holds the ROB head beyond the in-order floor
         // (its own execution latency; debug mode adds the drain wait
@@ -373,10 +467,8 @@ impl Pipeline {
             let mem_ref = d.mem.expect("store-like has a memory reference");
             if self.mode.eager_store_commit() {
                 // Secure: commit first, write drains afterwards.
-                let u = self.n_mem as usize % self.cfg.mem_ports;
-                let drain_start = commit.max(self.sq_drain_free).max(self.port_ring[u]);
-                self.port_ring[u] = drain_start + 1;
-                self.n_mem += 1;
+                let drain_start = commit.max(self.sq_drain_free).max(self.port_ring.oldest());
+                self.port_ring.push(drain_start + 1);
                 let out =
                     self.hier
                         .access_data(drain_start, mem_ref.kind, mem_ref.addr, mem_ref.size, mem, token, self.mode);
@@ -389,10 +481,10 @@ impl Pipeline {
                 // Debug: the write is issued when the store reaches the
                 // ROB head, and commit waits for its completion.
                 let oldest_at = (complete + 1).max(self.last_commit);
-                let u = self.n_mem as usize % self.cfg.mem_ports;
-                let drain_start = oldest_at.max(self.sq_drain_free).max(self.port_ring[u]);
-                self.port_ring[u] = drain_start + 1;
-                self.n_mem += 1;
+                let drain_start = oldest_at
+                    .max(self.sq_drain_free)
+                    .max(self.port_ring.oldest());
+                self.port_ring.push(drain_start + 1);
                 let out =
                     self.hier
                         .access_data(drain_start, mem_ref.kind, mem_ref.addr, mem_ref.size, mem, token, self.mode);
@@ -408,23 +500,18 @@ impl Pipeline {
                 }
             }
             // SQ entry frees when the write has drained.
-            self.sq_ring[self.n_store as usize % self.cfg.sq_entries] = rec.drain_done;
-            self.n_store += 1;
-            self.store_window.push_back(rec);
-            while self.store_window.len() > self.cfg.sq_entries {
-                self.store_window.pop_front();
-            }
+            self.sq_ring.push(rec.drain_done);
+            self.store_window.push(rec);
         }
 
         if serialized {
             // ...and nothing younger may dispatch until it commits.
             self.barrier_at = self.barrier_at.max(commit);
         }
-        self.commit_ring[i % self.cfg.commit_width] = commit;
-        self.rob_ring[i % self.cfg.rob_entries] = commit;
+        self.commit_ring.push(commit);
+        self.rob_ring.push(commit);
         if d.kind == OpKind::Load {
-            self.lq_ring[self.n_load as usize % self.cfg.lq_entries] = commit;
-            self.n_load += 1;
+            self.lq_ring.push(commit);
         }
         self.last_commit = commit;
 
@@ -435,7 +522,7 @@ impl Pipeline {
         }
         if let Some(tracer) = &mut self.tracer {
             tracer.record(TraceEntry {
-                seq: self.n,
+                seq,
                 pc: d.pc,
                 kind: d.kind,
                 component: d.component,
@@ -454,8 +541,12 @@ impl Pipeline {
         // the stall buckets most-specific-first, each clamped to what
         // remains unexplained; the residue is useful work (base). The
         // clamped fill keeps the exact-sum property even when stall
-        // windows overlap.
+        // windows overlap. A micro-op that commits in the frontier's
+        // cycle (delta 0) adds nothing.
         let delta = commit - prev_commit;
+        if delta == 0 {
+            return;
+        }
         let mut remaining = delta;
         let [l1d_miss, l2_miss, dram, rest_check] = mem_stall;
         for (component, amount) in [
@@ -475,7 +566,6 @@ impl Pipeline {
             remaining -= take;
         }
         self.stats.cpi.add(CpiComponent::Base, remaining);
-        self.n += 1;
     }
 
     /// Load issue: memory disambiguation against the in-flight store
@@ -495,11 +585,8 @@ impl Pipeline {
         let mut ready = ready;
         let mut forwarded: Option<u64> = None;
         let mut forward_from_arm = false;
-        // Scan younger-to-older among in-flight stores.
-        for s in self.store_window.iter().rev() {
-            if s.drain_done <= ready || !s.overlaps(addr, size) {
-                continue;
-            }
+        // The youngest matching in-flight store decides.
+        if let Some(s) = self.store_window.youngest_overlapping(addr, size, ready) {
             match s.kind {
                 MemAccessKind::Arm | MemAccessKind::Disarm => {
                     // The load's match is an arm/disarm entry: raising
@@ -522,7 +609,6 @@ impl Pipeline {
                     }
                 }
             }
-            break; // youngest matching store decides
         }
         if forward_from_arm {
             self.record_rest_audit(RestExceptionKind::ForwardFromArm, d, addr);
@@ -530,10 +616,8 @@ impl Pipeline {
         if let Some(complete) = forwarded {
             return (ready, complete, [0; 4]);
         }
-        let u = self.n_mem as usize % self.cfg.mem_ports;
-        let issue = ready.max(self.port_ring[u]);
-        self.port_ring[u] = issue + 1;
-        self.n_mem += 1;
+        let issue = ready.max(self.port_ring.oldest());
+        self.port_ring.push(issue + 1);
         let out = self
             .hier
             .access_data(issue, MemAccessKind::Load, addr, size, mem, token, self.mode);
@@ -558,10 +642,7 @@ impl Pipeline {
         let mem_ref = d.mem.expect("store-like has a memory reference");
         let (addr, size) = (mem_ref.addr, mem_ref.size);
         let mut detected: Option<RestExceptionKind> = None;
-        for s in self.store_window.iter().rev() {
-            if s.drain_done <= at || !s.overlaps(addr, size) {
-                continue;
-            }
+        if let Some(s) = self.store_window.youngest_overlapping(addr, size, at) {
             match (d.kind, s.kind) {
                 // Store hits an in-flight arm to the same location.
                 (OpKind::Store, MemAccessKind::Arm) => {
@@ -575,7 +656,6 @@ impl Pipeline {
                 }
                 _ => {}
             }
-            break;
         }
         if let Some(kind) = detected {
             self.record_rest_audit(kind, d, addr);
@@ -595,7 +675,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rest_core::TokenWidth;
     use rest_isa::{BranchInfo, GuestMemory, Reg};
     use rest_mem::MemConfig;
@@ -607,6 +687,119 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let token = Token::generate(TokenWidth::B64, &mut rng);
         (p, mem, token)
+    }
+
+    fn rec(addr: u64, size: u64, drain_done: u64) -> StoreRec {
+        StoreRec {
+            addr,
+            size,
+            kind: MemAccessKind::Store,
+            exec_done: 0,
+            drain_done,
+        }
+    }
+
+    #[test]
+    fn store_ranges_at_the_top_of_the_address_space() {
+        let top = u64::MAX - 7;
+        let s = rec(top, 8, 1);
+        assert!(s.overlaps(top, 8));
+        assert!(s.overlaps(u64::MAX, 1));
+        assert!(s.overlaps(top - 4, 8));
+        assert!(!s.overlaps(top - 8, 8));
+        assert!(s.contains(top, 8));
+        assert!(s.contains(u64::MAX, 1));
+        assert!(!s.contains(top - 1, 8));
+        // A load running past u64::MAX neither overflows nor wraps to 0.
+        assert!(s.overlaps(u64::MAX, 8));
+        assert!(!s.contains(u64::MAX, 8));
+        assert!(!rec(0, 8, 1).overlaps(u64::MAX, 8));
+        let mut w = StoreWindow::new(4);
+        w.push(s);
+        assert_eq!(
+            w.youngest_overlapping(u64::MAX, 8, 0).map(|r| r.addr),
+            Some(top)
+        );
+        assert_eq!(w.youngest_overlapping(0, 8, 0).map(|r| r.addr), None);
+    }
+
+    /// `overlaps`/`contains` against the textbook formulas evaluated in
+    /// `u128`, where no range wraps: the same answers as the old `u64`
+    /// formulas wherever those did not overflow.
+    #[test]
+    fn store_ranges_match_unbounded_arithmetic() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let pick = |rng: &mut StdRng| {
+            let near = [0, 1 << 20, u64::MAX - 127][rng.gen_range(0..3usize)];
+            near + rng.gen_range(0..128)
+        };
+        for _ in 0..50_000 {
+            let (a, n) = (pick(&mut rng), rng.gen_range(0..=16));
+            let (b, m) = (pick(&mut rng), rng.gen_range(0..=16));
+            let (a128, n128, b128, m128) = (a as u128, n as u128, b as u128, m as u128);
+            let s = rec(a, n, 1);
+            assert_eq!(
+                s.overlaps(b, m),
+                a128 < b128 + m128 && b128 < a128 + n128,
+                "{a:#x}+{n} vs {b:#x}+{m}"
+            );
+            assert_eq!(
+                s.contains(b, m),
+                a128 <= b128 && b128 + m128 <= a128 + n128,
+                "{a:#x}+{n} vs {b:#x}+{m}"
+            );
+        }
+    }
+
+    /// The line-filtered window search against the plain scan, on seeded
+    /// random stores and queries crowding a few lines, straddling line
+    /// boundaries, spanning many lines and running past `u64::MAX`.
+    #[test]
+    fn filtered_store_window_matches_the_scan() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut w = StoreWindow::new(32);
+        let pick = |rng: &mut StdRng| {
+            if rng.gen_bool(0.01) {
+                // Unfiltered: many lines, or past the top.
+                let wide = [(0x1000 + rng.gen_range(0..1024), 200), (u64::MAX - 3, 8)];
+                return wide[rng.gen_range(0..2usize)];
+            }
+            let base = [0x1000, 0x8000, u64::MAX - 2047][rng.gen_range(0..3usize)];
+            let size = [0, 1, 8, 8, 16, 64][rng.gen_range(0..6usize)];
+            (base + rng.gen_range(0..1024), size)
+        };
+        let (mut skipped, mut found) = (0, 0);
+        for step in 0..50_000u64 {
+            if rng.gen_bool(0.4) {
+                let (addr, size) = pick(&mut rng);
+                w.push(rec(addr, size, step + rng.gen_range(0..64)));
+            }
+            let (addr, size) = pick(&mut rng);
+            let got = w.youngest_overlapping(addr, size, step);
+            let want = w.scan(addr, size, step);
+            assert_eq!(
+                got.map(|r| (r.addr, r.size)),
+                want.map(|r| (r.addr, r.size)),
+                "step {step}"
+            );
+            found += usize::from(want.is_some());
+            skipped += usize::from(
+                w.uncounted == 0
+                    && filter_lines(addr, size)
+                        .is_some_and(|(f, l)| w.counts[bucket(f)] == 0 && w.counts[bucket(l)] == 0),
+            );
+        }
+        // Both outcomes occur, and the filter does skip scans.
+        assert!(
+            found > 1_000 && skipped > 1_000,
+            "found {found}, skipped {skipped}"
+        );
+        // Evicting every record empties the counts.
+        for _ in 0..32 {
+            w.push(rec(0x40, 8, 0));
+        }
+        assert_eq!(w.uncounted, 0);
+        assert_eq!(w.counts.iter().sum::<u32>(), 32);
     }
 
     #[test]

@@ -69,8 +69,9 @@ impl CoreStats {
 
     /// Records a micro-op's component attribution.
     pub fn note_component(&mut self, c: Component) {
-        let idx = Component::ALL.iter().position(|&x| x == c).expect("known");
-        self.uops_by_component[idx] += 1;
+        // `Component::ALL` lists the variants in declaration order (a
+        // test below pins it), so the discriminant is the index.
+        self.uops_by_component[c as usize] += 1;
     }
 }
 
@@ -227,6 +228,18 @@ mod tests {
         s.note_component(Component::Allocator);
         assert_eq!(s.uops_by_component[0], 1);
         assert_eq!(s.uops_by_component[1], 2);
+    }
+
+    #[test]
+    fn component_discriminants_are_their_display_order() {
+        for (i, &c) in Component::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?}");
+        }
+        let mut s = CoreStats::default();
+        for &c in &Component::ALL {
+            s.note_component(c);
+        }
+        assert!(s.uops_by_component.iter().all(|&n| n == 1));
     }
 
     #[test]

@@ -1,17 +1,9 @@
 use crate::config::CacheConfig;
 
-/// One way (line frame) of a set.
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    valid: bool,
-    tag: u64,
-    dirty: bool,
-    /// LRU stamp (monotonic use counter).
-    stamp: u64,
-    /// REST token bits for the slots of this line (bit *i* = slot *i*).
-    /// Only meaningful in the L1-D; other levels keep it zero.
-    token_mask: u8,
-}
+/// Bit 0 of a [`Cache`] way's line word: set while the way holds a line.
+/// Line addresses are line-aligned and lines are at least 2 bytes
+/// ([`CacheConfig::sets`] checks), so the bit is free.
+const VALID: u64 = 1;
 
 /// A line evicted by a fill or invalidation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +26,14 @@ pub struct EvictedLine {
 /// memory. This is the standard timing/functional split and is what lets
 /// the token detector compare genuine line contents at fill time.
 ///
+/// The ways live in flat arrays, one per field, indexed by
+/// `set * assoc + way`: line words (`line address | VALID`, 0 when
+/// empty), LRU stamps, dirty flags and token masks. The set is
+/// `(addr >> line_shift) & set_mask`, so a lookup costs a shift, a mask
+/// and a scan of one set, with no division. Every array starts zeroed,
+/// so ways that are never filled are never written and never become
+/// resident in host memory.
+///
 /// # Example
 ///
 /// ```
@@ -47,20 +47,42 @@ pub struct EvictedLine {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Per way: `line address | VALID`, or 0 when the way is empty.
+    lines: Vec<u64>,
+    /// Per way: LRU stamp (monotonic use counter).
+    stamps: Vec<u64>,
+    /// Per way: the line differs from the next level.
+    dirty: Vec<bool>,
+    /// Per way: REST token bits for the slots of the line (bit *i* =
+    /// slot *i*). Only meaningful in the L1-D; other levels keep it zero.
+    token_masks: Vec<u8>,
+    assoc: usize,
+    line_shift: u32,
+    set_mask: u64,
     next_stamp: u64,
     name: &'static str,
 }
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a geometry [`CacheConfig::sets`] rejects.
     pub fn new(cfg: CacheConfig, name: &'static str) -> Cache {
-        let sets = vec![vec![Way::default(); cfg.assoc]; cfg.sets()];
+        let sets = cfg.sets();
+        let ways = sets * cfg.assoc;
         Cache {
-            cfg,
-            sets,
+            lines: vec![0; ways],
+            stamps: vec![0; ways],
+            dirty: vec![false; ways],
+            token_masks: vec![0; ways],
+            assoc: cfg.assoc,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_mask: sets as u64 - 1,
             next_stamp: 0,
             name,
+            cfg,
         }
     }
 
@@ -79,12 +101,9 @@ impl Cache {
         addr & !(self.cfg.line_bytes - 1)
     }
 
-    fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.cfg.line_bytes) % self.sets.len() as u64) as usize
-    }
-
-    fn tag(&self, addr: u64) -> u64 {
-        addr / self.cfg.line_bytes / self.sets.len() as u64
+    /// Index of the first way of `addr`'s set.
+    fn set_base(&self, addr: u64) -> usize {
+        ((addr >> self.line_shift) & self.set_mask) as usize * self.assoc
     }
 
     fn bump(&mut self) -> u64 {
@@ -92,26 +111,33 @@ impl Cache {
         self.next_stamp
     }
 
-    fn find(&self, addr: u64) -> Option<(usize, usize)> {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        self.sets[set]
+    /// The way holding `addr`'s line, if resident.
+    pub(crate) fn find(&self, addr: u64) -> Option<usize> {
+        let word = self.line_addr(addr) | VALID;
+        let base = self.set_base(addr);
+        self.lines[base..base + self.assoc]
             .iter()
-            .position(|w| w.valid && w.tag == tag)
-            .map(|way| (set, way))
+            .position(|&l| l == word)
+            .map(|w| base + w)
+    }
+
+    fn resident(&self, addr: u64, op: &str) -> usize {
+        self.find(addr)
+            .unwrap_or_else(|| panic!("{}: {op} on absent line {addr:#x}", self.name))
+    }
+
+    /// Records a use of `way` for LRU, dirtying it when `is_write`.
+    pub(crate) fn touch(&mut self, way: usize, is_write: bool) {
+        self.stamps[way] = self.bump();
+        self.dirty[way] |= is_write;
     }
 
     /// Looks up `addr`, updating LRU state. Marks the line dirty when
     /// `is_write`. Returns whether the access hit.
     pub fn lookup(&mut self, addr: u64, is_write: bool) -> bool {
-        let stamp = self.bump();
         match self.find(addr) {
-            Some((set, way)) => {
-                let w = &mut self.sets[set][way];
-                w.stamp = stamp;
-                if is_write {
-                    w.dirty = true;
-                }
+            Some(way) => {
+                self.touch(way, is_write);
                 true
             }
             None => false,
@@ -125,35 +151,74 @@ impl Cache {
 
     /// Token bits of `addr`'s line, or `None` if not resident.
     pub fn token_mask(&self, addr: u64) -> Option<u8> {
-        self.find(addr).map(|(s, w)| self.sets[s][w].token_mask)
+        self.find(addr).map(|w| self.token_masks[w])
+    }
+
+    /// Index within its line of the `slot_bytes`-wide slot holding the
+    /// line offset `offset`. Slots are token widths, which divide the
+    /// line and so are powers of two: the division is a shift.
+    fn slot_of(offset: u64, slot_bytes: u64) -> u64 {
+        debug_assert!(slot_bytes.is_power_of_two(), "slot size {slot_bytes}");
+        offset >> slot_bytes.trailing_zeros()
+    }
+
+    /// The token-mask bit of the `slot_bytes`-wide slot holding `addr`.
+    fn slot_bit(&self, addr: u64, slot_bytes: u64) -> u8 {
+        1u8 << Self::slot_of(addr & (self.cfg.line_bytes - 1), slot_bytes)
     }
 
     /// Whether the token bit covering `addr` (given `slot_bytes`-wide
     /// slots) is set. `false` when the line is absent.
     pub fn token_bit_covering(&self, addr: u64, slot_bytes: u64) -> bool {
-        match self.find(addr) {
-            Some((s, w)) => {
-                let slot = (addr % self.cfg.line_bytes) / slot_bytes;
-                self.sets[s][w].token_mask & (1u8 << slot) != 0
-            }
-            None => false,
-        }
+        self.token_bit_at(self.find(addr), addr, slot_bytes)
+    }
+
+    /// [`Cache::token_bit_covering`] with `addr`'s way already resolved.
+    pub(crate) fn token_bit_at(&self, way: Option<usize>, addr: u64, slot_bytes: u64) -> bool {
+        way.is_some_and(|w| self.token_masks[w] & self.slot_bit(addr, slot_bytes) != 0)
     }
 
     /// Whether any byte of `[addr, addr+size)` lies in an armed slot of a
-    /// resident line. Walks every slot the access overlaps, so wide
+    /// resident line. Checks every slot the access overlaps, so wide
     /// accesses that straddle a slot — or a cache-line — boundary check
-    /// each covered slot in whichever line holds it.
+    /// each covered slot in whichever line holds it. A range running
+    /// past the top of the address space is checked up to `u64::MAX`.
+    ///
+    /// `slot_bytes` must divide the line size, as token widths do.
     pub fn access_touches_token(&self, addr: u64, size: u64, slot_bytes: u64) -> bool {
-        let last = addr + size.max(1) - 1;
-        let mut slot = addr - addr % slot_bytes;
-        while slot <= last {
-            if self.token_bit_covering(slot, slot_bytes) {
-                return true;
+        self.touches_token_at(self.find(addr), addr, size, slot_bytes)
+    }
+
+    /// [`Cache::access_touches_token`] with the way of `addr`'s line
+    /// already resolved; only further lines of a straddling access are
+    /// looked up.
+    pub(crate) fn touches_token_at(
+        &self,
+        mut way: Option<usize>,
+        addr: u64,
+        size: u64,
+        slot_bytes: u64,
+    ) -> bool {
+        let last = addr.saturating_add(size.max(1) - 1);
+        let line_last = self.cfg.line_bytes - 1;
+        let mut line = self.line_addr(addr);
+        loop {
+            // The access's bytes in this line: [lo, hi], line-relative.
+            let lo = addr.max(line) - line;
+            let hi = last.min(line + line_last) - line;
+            if let Some(w) = way {
+                let covered = (2u16 << Self::slot_of(hi, slot_bytes))
+                    - (1u16 << Self::slot_of(lo, slot_bytes));
+                if self.token_masks[w] & covered as u8 != 0 {
+                    return true;
+                }
             }
-            slot += slot_bytes;
+            if line + hi == last {
+                return false;
+            }
+            line += self.cfg.line_bytes;
+            way = self.find(line);
         }
-        false
     }
 
     /// ORs `mask` into the token bits of `addr`'s line.
@@ -162,10 +227,8 @@ impl Cache {
     ///
     /// Panics if the line is not resident (callers fill first).
     pub fn set_token_bits(&mut self, addr: u64, mask: u8) {
-        let (s, w) = self
-            .find(addr)
-            .unwrap_or_else(|| panic!("{}: set_token_bits on absent line {addr:#x}", self.name));
-        self.sets[s][w].token_mask |= mask;
+        let w = self.resident(addr, "set_token_bits");
+        self.token_masks[w] |= mask;
     }
 
     /// Clears the token bit for the slot containing `addr` and marks the
@@ -175,12 +238,9 @@ impl Cache {
     ///
     /// Panics if the line is not resident.
     pub fn clear_token_bit(&mut self, addr: u64, slot_bytes: u64) {
-        let (s, w) = self
-            .find(addr)
-            .unwrap_or_else(|| panic!("{}: clear_token_bit on absent line {addr:#x}", self.name));
-        let slot = (addr % self.cfg.line_bytes) / slot_bytes;
-        self.sets[s][w].token_mask &= !(1u8 << slot);
-        self.sets[s][w].dirty = true;
+        let w = self.resident(addr, "clear_token_bit");
+        self.token_masks[w] &= !self.slot_bit(addr, slot_bytes);
+        self.dirty[w] = true;
     }
 
     /// Marks `addr`'s resident line dirty (e.g. the arm's lazy value
@@ -190,83 +250,64 @@ impl Cache {
     ///
     /// Panics if the line is not resident.
     pub fn mark_dirty(&mut self, addr: u64) {
-        let (s, w) = self
-            .find(addr)
-            .unwrap_or_else(|| panic!("{}: mark_dirty on absent line {addr:#x}", self.name));
-        self.sets[s][w].dirty = true;
+        let w = self.resident(addr, "mark_dirty");
+        self.dirty[w] = true;
     }
 
     /// Installs `addr`'s line (write-allocate fill), evicting the LRU way
     /// if the set is full. `token_mask` carries the detector's result for
     /// the incoming data. Returns the evicted line, if any.
     pub fn fill(&mut self, addr: u64, dirty: bool, token_mask: u8) -> Option<EvictedLine> {
-        if let Some((s, w)) = self.find(addr) {
+        if let Some(w) = self.find(addr) {
             // Refill of a resident line (e.g. upgrade); merge state.
-            let stamp = self.bump();
-            let way = &mut self.sets[s][w];
-            way.stamp = stamp;
-            way.dirty |= dirty;
-            way.token_mask |= token_mask;
+            self.touch(w, dirty);
+            self.token_masks[w] |= token_mask;
             return None;
         }
-        let stamp = self.bump();
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        let line_bytes = self.cfg.line_bytes;
-        let sets_len = self.sets.len() as u64;
-        let ways = &mut self.sets[set];
+        let base = self.set_base(addr);
+        let set = base..base + self.assoc;
         // Choose an invalid way, else the LRU way.
-        let victim = match ways.iter().position(|w| !w.valid) {
-            Some(i) => i,
+        let victim = match self.lines[set.clone()].iter().position(|&l| l & VALID == 0) {
+            Some(w) => base + w,
             None => {
-                let (i, _) = ways
+                let (w, _) = self.stamps[set]
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, w)| w.stamp)
+                    .min_by_key(|&(_, &stamp)| stamp)
                     .expect("associativity is at least 1");
-                i
+                base + w
             }
         };
-        let evicted = if ways[victim].valid {
-            let old = ways[victim];
-            let old_addr = (old.tag * sets_len + set as u64) * line_bytes;
-            Some(EvictedLine {
-                addr: old_addr,
-                dirty: old.dirty,
-                token_mask: old.token_mask,
-            })
-        } else {
-            None
-        };
-        ways[victim] = Way {
-            valid: true,
-            tag,
-            dirty,
-            stamp,
-            token_mask,
-        };
+        let evicted = (self.lines[victim] & VALID != 0).then(|| EvictedLine {
+            addr: self.lines[victim] & !VALID,
+            dirty: self.dirty[victim],
+            token_mask: self.token_masks[victim],
+        });
+        self.lines[victim] = self.line_addr(addr) | VALID;
+        self.stamps[victim] = self.bump();
+        self.dirty[victim] = dirty;
+        self.token_masks[victim] = token_mask;
         evicted
     }
 
     /// Invalidates `addr`'s line, returning its state if it was resident.
     pub fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
-        let (s, w) = self.find(addr)?;
-        let way = self.sets[s][w];
-        self.sets[s][w] = Way::default();
-        Some(EvictedLine {
+        let w = self.find(addr)?;
+        let evicted = EvictedLine {
             addr: self.line_addr(addr),
-            dirty: way.dirty,
-            token_mask: way.token_mask,
-        })
+            dirty: self.dirty[w],
+            token_mask: self.token_masks[w],
+        };
+        self.lines[w] = 0;
+        self.stamps[w] = 0;
+        self.dirty[w] = false;
+        self.token_masks[w] = 0;
+        Some(evicted)
     }
 
     /// Number of valid lines (for occupancy assertions in tests).
     pub fn resident_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|w| w.valid)
-            .count()
+        self.lines.iter().filter(|&&l| l & VALID != 0).count()
     }
 }
 
@@ -392,6 +433,215 @@ mod tests {
         assert_eq!(ev.token_mask, 0b1);
         assert!(!c.probe(0x80));
         assert!(c.invalidate(0x80).is_none());
+    }
+
+    #[test]
+    fn token_checks_reach_the_top_of_the_address_space() {
+        let mut c = tiny();
+        let top = u64::MAX - 7;
+        let top_line = c.line_addr(top);
+        c.fill(top_line, false, 0b1000); // slot 3: the last 16 bytes
+        assert!(c.access_touches_token(top, 8, 16));
+        assert!(c.token_bit_covering(top, 16));
+        // An access running past u64::MAX is checked up to the top.
+        assert!(c.access_touches_token(top, 64, 16));
+        assert!(!c.access_touches_token(top_line, 16, 16));
+        c.clear_token_bit(top, 16);
+        assert!(!c.access_touches_token(top, 8, 16));
+        let ev = c.invalidate(top).expect("resident");
+        assert_eq!(ev.addr, top_line);
+        assert!(ev.dirty);
+    }
+
+    /// A naive true-LRU cache: one `Vec` per set holding its resident
+    /// lines, least recently used first, indexed by division.
+    struct ModelLine {
+        line: u64,
+        dirty: bool,
+        mask: u8,
+    }
+
+    struct Model {
+        line_bytes: u64,
+        assoc: usize,
+        sets: Vec<Vec<ModelLine>>,
+    }
+
+    impl Model {
+        fn new(cfg: &CacheConfig) -> Model {
+            Model {
+                line_bytes: cfg.line_bytes,
+                assoc: cfg.assoc,
+                sets: (0..cfg.sets()).map(|_| Vec::new()).collect(),
+            }
+        }
+
+        fn locate(&self, addr: u64) -> (usize, u64, Option<usize>) {
+            let line = addr / self.line_bytes * self.line_bytes;
+            let set = (addr / self.line_bytes % self.sets.len() as u64) as usize;
+            let pos = self.sets[set].iter().position(|l| l.line == line);
+            (set, line, pos)
+        }
+
+        /// Moves a resident line to the most-recently-used end.
+        fn touch(&mut self, set: usize, pos: usize) -> &mut ModelLine {
+            let l = self.sets[set].remove(pos);
+            self.sets[set].push(l);
+            self.sets[set].last_mut().unwrap()
+        }
+
+        fn lookup(&mut self, addr: u64, is_write: bool) -> bool {
+            match self.locate(addr) {
+                (set, _, Some(pos)) => {
+                    self.touch(set, pos).dirty |= is_write;
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn resident(&mut self, addr: u64) -> Option<&mut ModelLine> {
+            let (set, _, pos) = self.locate(addr);
+            pos.map(|p| &mut self.sets[set][p])
+        }
+
+        fn token_bit(&self, addr: u64, slot: u64) -> bool {
+            let (set, _, pos) = self.locate(addr);
+            pos.is_some_and(|p| {
+                self.sets[set][p].mask & (1 << (addr % self.line_bytes / slot)) != 0
+            })
+        }
+
+        /// Byte by byte, up to the top of the address space.
+        fn touches(&self, addr: u64, size: u64, slot: u64) -> bool {
+            let last = (addr as u128 + size.max(1) as u128 - 1).min(u64::MAX as u128) as u64;
+            (addr..=last).any(|b| self.token_bit(b, slot))
+        }
+
+        fn fill(&mut self, addr: u64, dirty: bool, mask: u8) -> Option<EvictedLine> {
+            let (set, line, pos) = self.locate(addr);
+            if let Some(pos) = pos {
+                let l = self.touch(set, pos);
+                l.dirty |= dirty;
+                l.mask |= mask;
+                return None;
+            }
+            let evicted = (self.sets[set].len() == self.assoc).then(|| {
+                let old = self.sets[set].remove(0);
+                EvictedLine {
+                    addr: old.line,
+                    dirty: old.dirty,
+                    token_mask: old.mask,
+                }
+            });
+            self.sets[set].push(ModelLine { line, dirty, mask });
+            evicted
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
+            let (set, _, pos) = self.locate(addr);
+            let old = self.sets[set].remove(pos?);
+            Some(EvictedLine {
+                addr: old.line,
+                dirty: old.dirty,
+                token_mask: old.mask,
+            })
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    /// Seeded random operations on `cfg`, every return value compared
+    /// with the model. Addresses crowd a few sets (so sets overflow and
+    /// evict) and some sit at the top of the address space.
+    fn check_against_model(cfg: CacheConfig, seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = Cache::new(cfg.clone(), "T");
+        let mut m = Model::new(&cfg);
+        let (lb, sets) = (cfg.line_bytes, cfg.sets() as u64);
+        for step in 0..20_000 {
+            let index = rng.gen_range(0..cfg.assoc as u64 * 3) * sets + rng.gen_range(0..3);
+            let offset = rng.gen_range(0..lb);
+            let addr = if rng.gen_bool(0.2) {
+                (u64::MAX - lb + 1 - index * lb) + offset
+            } else {
+                index * lb + offset
+            };
+            let slot = [16, 32, 64][rng.gen_range(0..3usize)];
+            let ctx = format!("step {step}, addr {addr:#x}");
+            match rng.gen_range(0..10) {
+                0 | 1 => {
+                    let w = rng.gen_bool(0.3);
+                    assert_eq!(c.lookup(addr, w), m.lookup(addr, w), "{ctx}");
+                }
+                2 | 3 => {
+                    let (d, mask) = (rng.gen_bool(0.3), rng.gen_range(0..16u8) & rng.gen::<u8>());
+                    assert_eq!(c.fill(addr, d, mask), m.fill(addr, d, mask), "{ctx}");
+                }
+                4 => assert_eq!(c.invalidate(addr), m.invalidate(addr), "{ctx}"),
+                5 => {
+                    let size = rng.gen_range(0..=80);
+                    assert_eq!(
+                        c.access_touches_token(addr, size, slot),
+                        m.touches(addr, size, slot),
+                        "{ctx}, size {size}, slot {slot}"
+                    );
+                }
+                6 => {
+                    assert_eq!(
+                        c.token_bit_covering(addr, slot),
+                        m.token_bit(addr, slot),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        c.token_mask(addr),
+                        m.resident(addr).map(|l| l.mask),
+                        "{ctx}"
+                    );
+                    assert_eq!(c.probe(addr), m.resident(addr).is_some(), "{ctx}");
+                }
+                _ => {
+                    // Arm/disarm/dirty updates apply to resident lines only.
+                    if let Some(l) = m.resident(addr) {
+                        match rng.gen_range(0..3) {
+                            0 => {
+                                let mask = rng.gen_range(1..16u8);
+                                l.mask |= mask;
+                                c.set_token_bits(addr, mask);
+                            }
+                            1 => {
+                                l.mask &= !(1 << (addr % lb / slot));
+                                l.dirty = true;
+                                c.clear_token_bit(addr, slot);
+                            }
+                            _ => {
+                                l.dirty = true;
+                                c.mark_dirty(addr);
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(c.resident_lines(), m.resident_lines(), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn matches_naive_lru_model_on_tiny_geometry() {
+        for seed in 0..4 {
+            check_against_model(MemConfig::tiny().l1d, seed);
+            check_against_model(MemConfig::tiny().l2, seed);
+        }
+    }
+
+    #[test]
+    fn matches_naive_lru_model_on_table2_geometry() {
+        check_against_model(CacheConfig::isca2018_l1d(), 7);
+        check_against_model(CacheConfig::isca2018_l2(), 8);
     }
 
     #[test]

@@ -23,14 +23,27 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (capacity not divisible by
-    /// `assoc * line_bytes`).
+    /// `assoc * line_bytes`), or if the line size or the set count is
+    /// not a power of two: caches index by shift and mask, and keep a
+    /// valid bit in bit 0 of each line address, so lines are at least
+    /// 2 bytes.
     pub fn sets(&self) -> usize {
         let denom = self.assoc as u64 * self.line_bytes;
         assert!(
             denom > 0 && self.size_bytes.is_multiple_of(denom),
             "inconsistent cache geometry"
         );
-        (self.size_bytes / denom) as usize
+        assert!(
+            self.line_bytes.is_power_of_two() && self.line_bytes >= 2,
+            "cache line size {} is not a power of two of at least 2 bytes",
+            self.line_bytes
+        );
+        let sets = self.size_bytes / denom;
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count {sets} is not a power of two"
+        );
+        sets as usize
     }
 
     /// The paper's L1 instruction cache: 64 kB, 8-way, 2 cycles,
@@ -242,6 +255,29 @@ mod tests {
             mshr_entries: 1,
             mshr_targets: 1,
             write_buffer_entries: 0,
+        };
+        let _ = c.sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "cache set count 3 is not a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        let c = CacheConfig {
+            size_bytes: 3 * 2 * 64,
+            assoc: 2,
+            ..CacheConfig::isca2018_l1d()
+        };
+        let _ = c.sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "cache line size 48 is not a power of two")]
+    fn non_power_of_two_line_size_panics() {
+        let c = CacheConfig {
+            size_bytes: 4 * 2 * 48,
+            assoc: 2,
+            line_bytes: 48,
+            ..CacheConfig::isca2018_l1d()
         };
         let _ = c.sets();
     }

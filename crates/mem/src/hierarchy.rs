@@ -239,16 +239,19 @@ impl Hierarchy {
     }
 
     /// Ensures `line` is resident in the L1-D at `now`, running the token
-    /// detector on fills. Returns `(critical_word_at, line_checked_at,
-    /// served_by)`.
+    /// detector on fills. `hit_way` is the line's L1-D way at entry.
+    /// Returns `(critical_word_at, line_checked_at, served_by, way)`,
+    /// where `way` is the line's L1-D way on return (`None` only when a
+    /// secondary miss finds its pre-installed line already evicted).
     fn ensure_l1d_resident(
         &mut self,
         now: u64,
         line: u64,
+        hit_way: Option<usize>,
         is_write: bool,
         mem: &dyn LineReader,
         token: &Token,
-    ) -> (u64, u64, ServedBy) {
+    ) -> (u64, u64, ServedBy, Option<usize>) {
         // §VIII token cache: an armed line parked in the dedicated
         // buffer is re-installed at near-L1 latency, token bits intact.
         if self.token_cache_entries > 0 {
@@ -267,7 +270,7 @@ impl Hierarchy {
                     }
                 }
                 self.l1d.lookup(line, is_write);
-                return (t, t, ServedBy::L1);
+                return (t, t, ServedBy::L1, self.l1d.find(line));
             }
         }
         if let Some(done) = self.l1d_mshrs.merge(line, now) {
@@ -275,13 +278,16 @@ impl Hierarchy {
             // was pre-installed by the primary; record the touch so LRU
             // and dirty state stay correct.
             self.stats.l1d_misses += 1;
-            self.l1d.lookup(line, is_write);
-            return (done, done + self.line_fill_tail, ServedBy::L2);
+            if let Some(w) = hit_way {
+                self.l1d.touch(w, is_write);
+            }
+            return (done, done + self.line_fill_tail, ServedBy::L2, hit_way);
         }
-        if self.l1d.lookup(line, is_write) {
+        if let Some(w) = hit_way {
+            self.l1d.touch(w, is_write);
             self.stats.l1d_hits += 1;
             let t = now + self.l1d.config().hit_latency;
-            return (t, t, ServedBy::L1);
+            return (t, t, ServedBy::L1, hit_way);
         }
         self.stats.l1d_misses += 1;
         let start = now + self.l1d.config().hit_latency;
@@ -332,7 +338,8 @@ impl Hierarchy {
             }
         }
         let served = if from_dram { ServedBy::Dram } else { ServedBy::L2 };
-        (data_at, data_at + self.line_fill_tail, served)
+        let way = self.l1d.find(line);
+        (data_at, data_at + self.line_fill_tail, served, way)
     }
 
     /// Walks one data access through the hierarchy, applying the REST
@@ -361,8 +368,12 @@ impl Hierarchy {
             kind,
             MemAccessKind::Store | MemAccessKind::Arm | MemAccessKind::Disarm
         );
-        let was_hit = self.l1d.probe(line);
-        let (data_at, checked_at, served) = self.ensure_l1d_resident(now, line, is_write, mem, token);
+        // The line's way is resolved once here and reused by the hit
+        // path and the token-bit checks below.
+        let hit_way = self.l1d.find(line);
+        let was_hit = hit_way.is_some();
+        let (data_at, checked_at, served, way) =
+            self.ensure_l1d_resident(now, line, hit_way, is_write, mem, token);
         let mut complete_at = data_at;
         let mut held = false;
 
@@ -387,10 +398,10 @@ impl Hierarchy {
 
         // Post-fill token-bit state covering the access.
         let token_bit = match kind {
-            MemAccessKind::Arm | MemAccessKind::Disarm => self.l1d.token_bit_covering(addr, w),
+            MemAccessKind::Arm | MemAccessKind::Disarm => self.l1d.token_bit_at(way, addr, w),
             _ => {
                 // A scalar access may straddle two slots within the line.
-                self.l1d.access_touches_token(addr, size, w)
+                self.l1d.touches_token_at(way, addr, size, w)
             }
         };
 

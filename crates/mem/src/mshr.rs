@@ -1,4 +1,12 @@
-use std::collections::HashMap;
+/// One in-flight line fill.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    line: u64,
+    /// Fill completion cycle.
+    done: u64,
+    /// Targets merged so far, the primary miss included.
+    targets: usize,
+}
 
 /// A miss-status holding register file.
 ///
@@ -8,6 +16,9 @@ use std::collections::HashMap;
 /// When all entries are busy, a new miss must wait for the earliest
 /// completion — the stall the paper's Table II provisions against with
 /// "4 20-entry MSHRs".
+///
+/// The entries are a small array (at most `entries` long: 4 or 20 in
+/// Table II) searched linearly; it is allocated once, at construction.
 ///
 /// # Example
 ///
@@ -23,9 +34,8 @@ use std::collections::HashMap;
 pub struct MshrFile {
     entries: usize,
     targets_per_entry: usize,
-    /// line address -> (fill completion cycle, targets merged so far).
-    inflight: HashMap<u64, (u64, usize)>,
-    /// Completion cycles of all in-flight fills (for full-file stalls).
+    /// In-flight fills, one per line, in no particular order.
+    inflight: Vec<Entry>,
     stalls: u64,
     merges: u64,
 }
@@ -37,7 +47,7 @@ impl MshrFile {
         MshrFile {
             entries,
             targets_per_entry,
-            inflight: HashMap::new(),
+            inflight: Vec::with_capacity(entries),
             stalls: 0,
             merges: 0,
         }
@@ -45,7 +55,7 @@ impl MshrFile {
 
     /// Drops entries whose fills completed at or before `now`.
     pub fn expire(&mut self, now: u64) {
-        self.inflight.retain(|_, (done, _)| *done > now);
+        self.inflight.retain(|e| e.done > now);
     }
 
     /// If `line` is already being fetched at `now`, merges onto the entry
@@ -55,13 +65,13 @@ impl MshrFile {
     /// allocation after the entry retires).
     pub fn merge(&mut self, line: u64, now: u64) -> Option<u64> {
         self.expire(now);
-        match self.inflight.get_mut(&line) {
-            Some((done, targets)) if *targets < self.targets_per_entry => {
-                *targets += 1;
-                self.merges += 1;
-                Some(*done)
-            }
-            _ => None,
+        let e = self.inflight.iter_mut().find(|e| e.line == line)?;
+        if e.targets < self.targets_per_entry {
+            e.targets += 1;
+            self.merges += 1;
+            Some(e.done)
+        } else {
+            None
         }
     }
 
@@ -69,28 +79,33 @@ impl MshrFile {
     /// `now` whose fill would complete at `fill_done` if it started
     /// immediately. Returns the cycle at which the miss can actually
     /// *start* (== `now` unless the file is full, in which case the
-    /// request waits for the earliest in-flight completion).
+    /// request waits for the earliest in-flight completion). An entry
+    /// already tracking `line` is replaced.
     pub fn allocate(&mut self, line: u64, now: u64, fill_done: u64) -> u64 {
         self.expire(now);
-        let start = if self.inflight.len() >= self.entries {
+        let mut wait = 0;
+        if self.inflight.len() >= self.entries {
             let earliest = self
                 .inflight
-                .values()
-                .map(|&(done, _)| done)
+                .iter()
+                .map(|e| e.done)
                 .min()
                 .expect("file is non-empty when full");
             self.stalls += 1;
             // The stalled request begins once a slot frees.
-            let wait = earliest.saturating_sub(now);
+            wait = earliest.saturating_sub(now);
             self.expire(earliest);
-            self.inflight
-                .insert(line, (fill_done + wait, 1));
-            return now + wait;
-        } else {
-            now
+        }
+        let entry = Entry {
+            line,
+            done: fill_done + wait,
+            targets: 1,
         };
-        self.inflight.insert(line, (fill_done, 1));
-        start
+        match self.inflight.iter_mut().find(|e| e.line == line) {
+            Some(e) => *e = entry,
+            None => self.inflight.push(entry),
+        }
+        now + wait
     }
 
     /// Number of in-flight fills (after expiring completed ones).
@@ -138,6 +153,92 @@ mod tests {
         let start = m.allocate(0x80, 10, 110);
         assert_eq!(start, 60); // waited for the 0x0 fill
         assert_eq!(m.stalls(), 1);
+    }
+
+    /// The `HashMap`-backed register file, kept as the reference model.
+    struct Model {
+        entries: usize,
+        targets_per_entry: usize,
+        inflight: std::collections::HashMap<u64, (u64, usize)>,
+        stalls: u64,
+        merges: u64,
+    }
+
+    impl Model {
+        fn expire(&mut self, now: u64) {
+            self.inflight.retain(|_, (done, _)| *done > now);
+        }
+
+        fn merge(&mut self, line: u64, now: u64) -> Option<u64> {
+            self.expire(now);
+            match self.inflight.get_mut(&line) {
+                Some((done, targets)) if *targets < self.targets_per_entry => {
+                    *targets += 1;
+                    self.merges += 1;
+                    Some(*done)
+                }
+                _ => None,
+            }
+        }
+
+        fn allocate(&mut self, line: u64, now: u64, fill_done: u64) -> u64 {
+            self.expire(now);
+            if self.inflight.len() >= self.entries {
+                let earliest = self.inflight.values().map(|&(d, _)| d).min().unwrap();
+                self.stalls += 1;
+                let wait = earliest.saturating_sub(now);
+                self.expire(earliest);
+                self.inflight.insert(line, (fill_done + wait, 1));
+                return now + wait;
+            }
+            self.inflight.insert(line, (fill_done, 1));
+            now
+        }
+    }
+
+    #[test]
+    fn matches_hashmap_model_on_random_operations() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for (seed, entries, targets) in [(1u64, 4, 20), (2, 20, 12), (3, 2, 2), (4, 1, 1)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = MshrFile::new(entries, targets);
+            let mut model = Model {
+                entries,
+                targets_per_entry: targets,
+                inflight: Default::default(),
+                stalls: 0,
+                merges: 0,
+            };
+            let mut now = 0u64;
+            for step in 0..20_000 {
+                // Time mostly advances but may step back, as requests
+                // from different pipeline stages arrive out of order.
+                now = (now + rng.gen_range(0..8)).saturating_sub(rng.gen_range(0..4));
+                let line = rng.gen_range(0..(entries as u64 * 2)) * 64;
+                let ctx = format!("seed {seed}, step {step}");
+                match rng.gen_range(0..3) {
+                    0 => assert_eq!(m.merge(line, now), model.merge(line, now), "{ctx}"),
+                    1 => {
+                        let done = now + rng.gen_range(1..200);
+                        assert_eq!(
+                            m.allocate(line, now, done),
+                            model.allocate(line, now, done),
+                            "{ctx}"
+                        );
+                    }
+                    _ => {
+                        model.expire(now);
+                        assert_eq!(m.occupancy(now), model.inflight.len(), "{ctx}");
+                    }
+                }
+                assert_eq!(
+                    (m.stalls(), m.merges()),
+                    (model.stalls, model.merges),
+                    "{ctx}"
+                );
+            }
+        }
     }
 
     #[test]
