@@ -33,12 +33,12 @@
 use rest_attacks::{Attack, AttackOutcome, Expectation, SECRET};
 use rest_cpu::{SimResult, StopReason};
 use rest_obs::Json;
-use rest_runtime::RtConfig;
 
 use std::sync::Arc;
 
 use crate::cli::Harness;
 use crate::engine::{ColumnSpec, JobError, MatrixResults, MatrixSpec, RegressProg, SimJob};
+use crate::scheme_configs;
 
 /// Campaign document schema identifier.
 pub const SCHEMA: &str = "rest-defense/v1";
@@ -56,18 +56,6 @@ pub const SCHEMES: [&str; 6] = [
 /// Audit-log detectors that count as a detection (provenance of the
 /// four check mechanisms; the fault injector's entries do not count).
 const DETECTORS: [&str; 4] = ["rest", "asan", rest_obs::MTE_TAGGER, rest_obs::PA_SIGNER];
-
-/// The campaign's scheme set, resolved through the same
-/// [`RtConfig::from_label`] table the CLI uses.
-pub fn scheme_configs() -> Vec<(&'static str, RtConfig)> {
-    SCHEMES
-        .iter()
-        .map(|&label| {
-            let rt = RtConfig::from_label(label).expect("defense scheme labels are canonical");
-            (label, rt)
-        })
-        .collect()
-}
 
 /// Derives the functional-harness verdict fields from a pipeline run:
 /// precise detections stop the run, deferred ones (MTE async/asymm)
@@ -293,7 +281,7 @@ struct Coverage {
 /// behave like the other binaries).
 pub fn run_campaign(mut h: Harness) {
     let cli = h.cli.clone();
-    let configs = scheme_configs();
+    let configs = scheme_configs(&SCHEMES);
 
     // Overhead half: the five hardened schemes against the shared plain
     // baseline, over the standard benchmark rows.
@@ -520,11 +508,12 @@ pub fn run_campaign(mut h: Harness) {
 mod tests {
     use super::*;
     use rest_core::Mode;
+    use rest_runtime::RtConfig;
     use rest_workloads::Scale;
 
     #[test]
     fn campaign_shape_is_stable() {
-        let configs = scheme_configs();
+        let configs = scheme_configs(&SCHEMES);
         assert_eq!(configs.len(), 6);
         assert_eq!(configs[0].0, "plain");
         // Every label round-trips through the config it resolves to.

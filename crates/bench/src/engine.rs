@@ -30,7 +30,7 @@ use rest_obs::JobTiming;
 use rest_runtime::RtConfig;
 use rest_workloads::{Scale, Workload, WorkloadParams};
 
-use crate::{stack_for, FigureRow};
+use crate::{fnv1a, stack_for, FigureRow};
 
 /// Which pipeline model a job runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,17 +147,6 @@ pub struct RegressProg {
     pub name: String,
     /// Assembly text (shared: one corpus load serves every scheme).
     pub asm: Arc<String>,
-}
-
-/// FNV-1a over a byte string — regression assembly identity in cache
-/// keys without embedding the whole program text.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 impl SimJob {

@@ -34,6 +34,7 @@ use rest_obs::Json;
 use crate::checkpoint::Checkpoint;
 use crate::cli::Harness;
 use crate::engine::{RegressProg, SimJob};
+use crate::fnv1a;
 
 /// Campaign document schema identifier.
 pub const SCHEMA: &str = "rest-fuzz/v1";
@@ -52,17 +53,6 @@ const MAX_ROUNDS: usize = 64;
 /// Checkpoint key for one case index.
 fn case_key(index: u64) -> String {
     format!("case-{index:06}")
-}
-
-/// FNV-1a over the guest output stream (recorded instead of the bytes
-/// themselves, so checkpoints stay small but divergence stays visible).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The `truth/class` disagreement signature of a recorded case.
@@ -110,7 +100,7 @@ fn sig_slug(sig: &str) -> String {
 /// known-miss case is the documented §V-C `false-negative`.
 fn scheme_expectations(h: &Harness, case: &Case, asm: &str, slug: &str) -> Vec<(String, String)> {
     let known_miss = matches!(case.truth, GroundTruth::Miss(_));
-    crate::defense::scheme_configs()
+    crate::scheme_configs(&crate::defense::SCHEMES)
         .into_iter()
         .map(|(label, rt)| {
             let prog = RegressProg {

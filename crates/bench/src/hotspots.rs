@@ -35,22 +35,11 @@ use rest_workloads::{Scale, WorkloadParams};
 
 use crate::cli::Harness;
 use crate::engine::{ColumnSpec, MatrixSpec};
-use crate::{stack_for, FigureRow};
+use crate::{scheme_configs, stack_for, FigureRow};
 
 /// The profiled configurations, by harness label: the baseline and the
 /// paper's headline REST configuration.
 pub const SCHEMES: [&str; 2] = ["plain", "rest-secure-full"];
-
-/// The campaign's scheme set, resolved through [`RtConfig::from_label`].
-pub fn scheme_configs() -> Vec<(&'static str, RtConfig)> {
-    SCHEMES
-        .iter()
-        .map(|&label| {
-            let rt = RtConfig::from_label(label).expect("hotspot scheme labels are canonical");
-            (label, rt)
-        })
-        .collect()
-}
 
 /// One basic block's share of the profile.
 #[derive(Debug, Clone, Copy, Default)]
@@ -472,7 +461,7 @@ impl HotspotReport {
 pub fn run_campaign(mut h: Harness) {
     let cli = h.cli.clone();
     let rows = cli.filter_rows(crate::figure_rows());
-    let columns: Vec<ColumnSpec> = scheme_configs()
+    let columns: Vec<ColumnSpec> = scheme_configs(&SCHEMES)
         .into_iter()
         .map(|(label, rt)| ColumnSpec::new(label, rt))
         .collect();
@@ -543,7 +532,7 @@ mod tests {
     #[test]
     fn rollup_reconciles_blocks_sites_and_backend() {
         let row = FigureRow::of(Workload::Lbm);
-        for (label, rt) in scheme_configs() {
+        for (label, rt) in scheme_configs(&SCHEMES) {
             let result = profiled(&row, label, rt.clone());
             let r = rollup(&row, label, &rt, Scale::Test, &result).expect("invariants hold");
             assert_eq!(
@@ -576,7 +565,7 @@ mod tests {
             scale: "test".to_string(),
             rows: Vec::new(),
         };
-        for (label, rt) in scheme_configs() {
+        for (label, rt) in scheme_configs(&SCHEMES) {
             let result = profiled(&row, label, rt.clone());
             report
                 .rows

@@ -195,6 +195,31 @@ pub fn fig8_widths() -> [TokenWidth; 3] {
     [TokenWidth::B16, TokenWidth::B32, TokenWidth::B64]
 }
 
+/// A campaign's scheme set, resolved through the same
+/// [`RtConfig::from_label`] table the CLI uses.
+pub fn scheme_configs(labels: &[&'static str]) -> Vec<(&'static str, RtConfig)> {
+    labels
+        .iter()
+        .map(|&label| {
+            let rt = RtConfig::from_label(label).expect("campaign scheme labels are canonical");
+            (label, rt)
+        })
+        .collect()
+}
+
+/// FNV-1a over a byte string: regression assembly identity in engine
+/// cache keys, and guest output in fuzz checkpoints (recorded instead
+/// of the bytes themselves, so checkpoints stay small but divergence
+/// stays visible).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x1000_0000_01b3);
+    }
+    hash
+}
+
 /// Weighted arithmetic mean overhead (the paper's *WtdAriMean*,
 /// footnote 5): total hardened runtime over total plain runtime, minus
 /// one — i.e. each benchmark weighted by its plain runtime.

@@ -1,5 +1,65 @@
 use rest_isa::BranchInfo;
 
+/// Entries per storage block of a [`FirstTouch`] table (fewer when the
+/// whole table is smaller).
+const BLOCK: usize = 64;
+
+/// A power-of-two table whose entries all start at `init`, with storage
+/// handed out on first write in blocks of `min(len, BLOCK)` entries.
+///
+/// Every never-written block reads block 0 of the data, one shared
+/// block of `init` that nothing writes; the first write to a block
+/// appends its own copy to an array reserved for the whole table, so
+/// appending never reallocates. Building a table therefore writes its
+/// block index and one block.
+#[derive(Debug, Clone)]
+struct FirstTouch<T> {
+    /// Per block: the index in `data` of its first entry; 0 (the shared
+    /// block) while never written.
+    blocks: Vec<u32>,
+    data: Vec<T>,
+    init: T,
+    /// log2 of the block size.
+    shift: u32,
+}
+
+impl<T: Copy> FirstTouch<T> {
+    fn new(len: usize, init: T) -> FirstTouch<T> {
+        assert!(len.is_power_of_two(), "table size {len}");
+        let block = len.min(BLOCK);
+        // Every block, plus the shared one.
+        let cap = len + block;
+        assert!(u32::try_from(cap).is_ok(), "table size {len}");
+        let mut data = Vec::with_capacity(cap);
+        data.resize(block, init);
+        FirstTouch {
+            blocks: vec![0; len / block],
+            data,
+            init,
+            shift: block.trailing_zeros(),
+        }
+    }
+
+    /// Index in `data` of entry `i`.
+    fn slot(&self, i: usize) -> usize {
+        self.blocks[i >> self.shift] as usize | (i & ((1 << self.shift) - 1))
+    }
+
+    fn get(&self, i: usize) -> T {
+        self.data[self.slot(i)]
+    }
+
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        let block = i >> self.shift;
+        if self.blocks[block] == 0 {
+            self.blocks[block] = self.data.len() as u32;
+            self.data.resize(self.data.len() + (1 << self.shift), self.init);
+        }
+        let slot = self.slot(i);
+        &mut self.data[slot]
+    }
+}
+
 /// Branch predictor: gshare direction predictor + branch target buffer +
 /// return-address stack.
 ///
@@ -7,14 +67,23 @@ use rest_isa::BranchInfo;
 /// what the evaluation needs is a realistic, high-accuracy predictor so
 /// that front-end behaviour — and the cost of the extra branches ASan
 /// instrumentation introduces — is modelled, not a bit-exact L-TAGE.
+///
+/// The counter table and the BTB get their storage on first write, in
+/// blocks of up to 64 entries; unwritten entries read as a dense
+/// table's would (counter 1, empty BTB slot). This is for construction
+/// cost, not access cost: a new predictor writes a block index and one
+/// shared block per table instead of 2^`history_bits` counters and
+/// every BTB entry, which dominated machines that run a few dozen
+/// instructions.
 #[derive(Debug, Clone)]
 pub struct BranchPredictor {
-    /// 2-bit saturating counters indexed by `pc ^ history`.
-    counters: Vec<u8>,
+    /// 2-bit saturating counters indexed by `pc ^ history`, initially 1.
+    counters: FirstTouch<u8>,
     history: u64,
     history_mask: u64,
     /// BTB: tagged target cache for taken/indirect branches.
-    btb: Vec<Option<(u64, u64)>>, // (pc, target)
+    btb: FirstTouch<Option<(u64, u64)>>, // (pc, target)
+    btb_mask: usize,
     ras: Vec<u64>,
     ras_depth: usize,
     lookups: u64,
@@ -28,10 +97,11 @@ impl BranchPredictor {
         assert!(history_bits > 0 && history_bits < 30);
         assert!(btb_entries.is_power_of_two(), "BTB size must be a power of two");
         BranchPredictor {
-            counters: vec![1u8; 1 << history_bits],
+            counters: FirstTouch::new(1 << history_bits, 1),
             history: 0,
             history_mask: (1u64 << history_bits) - 1,
-            btb: vec![None; btb_entries],
+            btb: FirstTouch::new(btb_entries, None),
+            btb_mask: btb_entries - 1,
             ras: Vec::new(),
             ras_depth,
             lookups: 0,
@@ -44,7 +114,7 @@ impl BranchPredictor {
     }
 
     fn btb_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) & (self.btb.len() - 1)
+        ((pc >> 2) as usize) & self.btb_mask
     }
 
     /// Predicts the branch at `pc`, then trains on the oracle `outcome`,
@@ -54,14 +124,15 @@ impl BranchPredictor {
         self.lookups += 1;
         // --- predict ---
         let dir = if outcome.conditional {
-            self.counters[self.counter_index(pc)] >= 2
+            self.counters.get(self.counter_index(pc)) >= 2
         } else {
             true
         };
         let target = if outcome.is_return {
             self.ras.last().copied()
         } else {
-            self.btb[self.btb_index(pc)]
+            self.btb
+                .get(self.btb_index(pc))
                 .filter(|&(tag, _)| tag == pc)
                 .map(|(_, t)| t)
         };
@@ -78,7 +149,7 @@ impl BranchPredictor {
         // --- train ---
         if outcome.conditional {
             let idx = self.counter_index(pc);
-            let c = &mut self.counters[idx];
+            let c = self.counters.get_mut(idx);
             if outcome.taken {
                 *c = (*c + 1).min(3);
             } else {
@@ -88,7 +159,7 @@ impl BranchPredictor {
         self.history = ((self.history << 1) | outcome.taken as u64) & self.history_mask;
         if outcome.taken {
             let idx = self.btb_index(pc);
-            self.btb[idx] = Some((pc, outcome.target));
+            *self.btb.get_mut(idx) = Some((pc, outcome.target));
         }
         if outcome.is_call {
             if self.ras.len() == self.ras_depth {
@@ -226,6 +297,117 @@ mod tests {
         // Target change: mispredict again.
         let ind2 = BranchInfo { target: 0x3000, ..ind };
         assert!(!p.predict_and_train(0x80, &ind2));
+    }
+
+    /// The predictor with dense tables, written out in full at
+    /// construction: the reference for the first-touch storage.
+    struct Dense {
+        counters: Vec<u8>,
+        history: u64,
+        history_mask: u64,
+        btb: Vec<Option<(u64, u64)>>,
+        ras: Vec<u64>,
+        ras_depth: usize,
+    }
+
+    impl Dense {
+        fn new(history_bits: usize, btb_entries: usize, ras_depth: usize) -> Dense {
+            Dense {
+                counters: vec![1u8; 1 << history_bits],
+                history: 0,
+                history_mask: (1u64 << history_bits) - 1,
+                btb: vec![None; btb_entries],
+                ras: Vec::new(),
+                ras_depth,
+            }
+        }
+
+        fn predict_and_train(&mut self, pc: u64, o: &BranchInfo) -> bool {
+            let ci = (((pc >> 2) ^ self.history) & self.history_mask) as usize;
+            let bi = (pc >> 2) as usize % self.btb.len();
+            let dir = !o.conditional || self.counters[ci] >= 2;
+            let target = if o.is_return {
+                self.ras.last().copied()
+            } else {
+                self.btb[bi].filter(|&(tag, _)| tag == pc).map(|(_, t)| t)
+            };
+            let needs_target = o.taken && (o.indirect || o.is_return);
+            let correct = dir == o.taken && (!needs_target || target == Some(o.target));
+            if o.conditional {
+                let c = &mut self.counters[ci];
+                *c = if o.taken { (*c + 1).min(3) } else { c.saturating_sub(1) };
+            }
+            self.history = ((self.history << 1) | o.taken as u64) & self.history_mask;
+            if o.taken {
+                self.btb[bi] = Some((pc, o.target));
+            }
+            if o.is_call {
+                if self.ras.len() == self.ras_depth {
+                    self.ras.remove(0);
+                }
+                self.ras.push(pc + rest_isa::PC_STEP);
+            }
+            if o.is_return {
+                self.ras.pop();
+            }
+            correct
+        }
+    }
+
+    /// Seeded random conditional, indirect, call and return streams
+    /// over a pool of PCs spread across the whole table; every answer
+    /// and counter must match the dense model.
+    fn check_against_dense(history_bits: usize, btb_entries: usize, seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = BranchPredictor::new(history_bits, btb_entries, 8);
+        let mut d = Dense::new(history_bits, btb_entries, 8);
+        let pcs: Vec<u64> = (0..64).map(|_| rng.gen_range(0..1u64 << 24) * 4).collect();
+        let targets = [0x1000, 0x2000, 0x3000, 0x4000];
+        let mut mispredicts = 0;
+        for step in 0..20_000 {
+            let pc = pcs[rng.gen_range(0..pcs.len())];
+            let target = targets[rng.gen_range(0..targets.len())];
+            let base = BranchInfo {
+                taken: true,
+                target,
+                conditional: false,
+                is_call: false,
+                is_return: false,
+                indirect: false,
+            };
+            let o = match rng.gen_range(0..4) {
+                0 => BranchInfo {
+                    // Biased by PC, so counters saturate both ways.
+                    taken: rng.gen_bool(if pc & 4 == 0 { 0.9 } else { 0.2 }),
+                    conditional: true,
+                    ..base
+                },
+                1 => BranchInfo { indirect: true, ..base },
+                2 => BranchInfo { is_call: true, indirect: rng.gen_bool(0.5), ..base },
+                _ => BranchInfo {
+                    target: d.ras.last().copied().filter(|_| rng.gen_bool(0.8)).unwrap_or(target),
+                    is_return: true,
+                    indirect: true,
+                    ..base
+                },
+            };
+            let got = p.predict_and_train(pc, &o);
+            let want = d.predict_and_train(pc, &o);
+            assert_eq!(got, want, "h={history_bits} btb={btb_entries} step {step}: {o:?} at {pc:#x}");
+            mispredicts += u64::from(!want);
+        }
+        assert_eq!(p.lookups(), 20_000);
+        assert_eq!(p.mispredicts(), mispredicts);
+        assert!(mispredicts > 0 && mispredicts < 20_000);
+    }
+
+    #[test]
+    fn first_touch_tables_match_dense_model() {
+        for (seed, &(h, btb)) in [(15, 4096), (12, 512), (4, 16)].iter().enumerate() {
+            check_against_dense(h, btb, seed as u64);
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::gen::{lower, BugKind, Case, GroundTruth};
 use rest_cpu::{Emulator, ExecEngine, ExecTier, SimConfig, StopReason, System};
+use rest_isa::Program;
 use rest_runtime::RtConfig;
 use rest_verify::{verify_program, Severity};
 
@@ -167,11 +168,10 @@ fn stop_label(stop: &StopReason) -> (String, String) {
     }
 }
 
-fn functional_run(case: &Case, rt: &RtConfig, tier: ExecTier) -> FnRun {
-    let program = lower(case);
+fn functional_run(program: &Program, rt: &RtConfig, tier: ExecTier) -> FnRun {
     let mut cfg = SimConfig::isca2018(rt.clone());
     cfg.tier = tier;
-    let mut emu = Emulator::new(program, &cfg);
+    let mut emu = Emulator::new(program.clone(), &cfg);
     emu.run_functional();
     let insts = emu.insts();
     let stop = emu.take_stop().expect("run_functional stops");
@@ -226,7 +226,7 @@ fn run_case_inner(case: &Case, rt: &RtConfig) -> CaseRecord {
 
     // Oracle 2: functional emulation at every tier.
     let tiers = [ExecTier::Reference, ExecTier::Fast, ExecTier::Trace];
-    let runs: Vec<FnRun> = tiers.iter().map(|&t| functional_run(case, rt, t)).collect();
+    let runs: Vec<FnRun> = tiers.iter().map(|&t| functional_run(&program, rt, t)).collect();
     let reference = runs[0].clone();
     let tier_divergence = runs.iter().enumerate().skip(1).find_map(|(i, run)| {
         (*run != reference).then(|| {
@@ -241,7 +241,7 @@ fn run_case_inner(case: &Case, rt: &RtConfig) -> CaseRecord {
     // Oracle 3: the timing path.
     let mut cfg = SimConfig::isca2018(rt.clone());
     cfg.tier = ExecTier::Fast;
-    let timing = System::new(lower(case), cfg).run();
+    let timing = System::new(program, cfg).run();
     let (timing_stop, _) = stop_label(&timing.stop);
     let timing_divergence = if timing_stop != reference.stop
         || timing.output != reference.output

@@ -26,13 +26,21 @@ pub struct EvictedLine {
 /// memory. This is the standard timing/functional split and is what lets
 /// the token detector compare genuine line contents at fill time.
 ///
-/// The ways live in flat arrays, one per field, indexed by
-/// `set * assoc + way`: line words (`line address | VALID`, 0 when
-/// empty), LRU stamps, dirty flags and token masks. The set is
-/// `(addr >> line_shift) & set_mask`, so a lookup costs a shift, a mask
-/// and a scan of one set, with no division. Every array starts zeroed,
-/// so ways that are never filled are never written and never become
-/// resident in host memory.
+/// The ways live in flat arrays, one per field: line words (`line
+/// address | VALID`, 0 when empty), LRU stamps, dirty flags and token
+/// masks. The set is `(addr >> line_shift) & set_mask`, so a lookup
+/// costs a shift, a mask and a scan of one set, with no division.
+///
+/// Storage is first-touch. The arrays are reserved for every set up
+/// front, which writes nothing, and a set gets its `assoc`-sized block
+/// of them, all empty ways, the first time it is filled; appending
+/// never reallocates. A per-set block index finds the block. Sets never
+/// filled all point at block 0, one shared block of empty ways that
+/// nothing writes, so every lookup is the same scan with no branch on
+/// whether the set has storage. This is for construction cost, not
+/// access cost: a new cache writes its block index and one block
+/// instead of every way (576 KiB for the Table II L2), which dominated
+/// machines that run a few dozen instructions.
 ///
 /// # Example
 ///
@@ -47,6 +55,9 @@ pub struct EvictedLine {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// Per set: the first way of its block. 0 for a set never filled:
+    /// block 0 is one shared block of empty ways that nothing writes.
+    blocks: Vec<u32>,
     /// Per way: `line address | VALID`, or 0 when the way is empty.
     lines: Vec<u64>,
     /// Per way: LRU stamp (monotonic use counter).
@@ -71,19 +82,24 @@ impl Cache {
     /// Panics on a geometry [`CacheConfig::sets`] rejects.
     pub fn new(cfg: CacheConfig, name: &'static str) -> Cache {
         let sets = cfg.sets();
-        let ways = sets * cfg.assoc;
-        Cache {
-            lines: vec![0; ways],
-            stamps: vec![0; ways],
-            dirty: vec![false; ways],
-            token_masks: vec![0; ways],
+        // A block per set, plus the shared empty one.
+        let ways = (sets + 1) * cfg.assoc;
+        assert!(u32::try_from(ways).is_ok(), "{name}: {ways} ways overflow the block index");
+        let mut cache = Cache {
+            blocks: vec![0; sets],
+            lines: Vec::with_capacity(ways),
+            stamps: Vec::with_capacity(ways),
+            dirty: Vec::with_capacity(ways),
+            token_masks: Vec::with_capacity(ways),
             assoc: cfg.assoc,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: sets as u64 - 1,
             next_stamp: 0,
             name,
             cfg,
-        }
+        };
+        cache.append_block();
+        cache
     }
 
     /// The cache's configuration.
@@ -101,9 +117,26 @@ impl Cache {
         addr & !(self.cfg.line_bytes - 1)
     }
 
-    /// Index of the first way of `addr`'s set.
+    /// `addr`'s set.
+    fn set_of(&self, addr: u64) -> usize {
+        ((addr >> self.line_shift) & self.set_mask) as usize
+    }
+
+    /// Index of the first way of `addr`'s set: the shared empty block
+    /// if the set has never been filled.
     fn set_base(&self, addr: u64) -> usize {
-        ((addr >> self.line_shift) & self.set_mask) as usize * self.assoc
+        self.blocks[self.set_of(addr)] as usize
+    }
+
+    /// Appends a block of empty ways, returning its first way.
+    fn append_block(&mut self) -> usize {
+        let base = self.lines.len();
+        let ways = base + self.assoc;
+        self.lines.resize(ways, 0);
+        self.stamps.resize(ways, 0);
+        self.dirty.resize(ways, false);
+        self.token_masks.resize(ways, 0);
+        base
     }
 
     fn bump(&mut self) -> u64 {
@@ -264,7 +297,11 @@ impl Cache {
             self.token_masks[w] |= token_mask;
             return None;
         }
-        let base = self.set_base(addr);
+        let set = self.set_of(addr);
+        if self.blocks[set] == 0 {
+            self.blocks[set] = self.append_block() as u32;
+        }
+        let base = self.blocks[set] as usize;
         let set = base..base + self.assoc;
         // Choose an invalid way, else the LRU way.
         let victim = match self.lines[set.clone()].iter().position(|&l| l & VALID == 0) {
@@ -555,7 +592,10 @@ mod tests {
 
     /// Seeded random operations on `cfg`, every return value compared
     /// with the model. Addresses crowd a few sets (so sets overflow and
-    /// evict) and some sit at the top of the address space.
+    /// evict) and some sit at the top of the address space. A tenth are
+    /// cold: anywhere in a set the crowded addresses never reach, and
+    /// never filled, so lookups, token checks and invalidations also
+    /// meet sets that have no storage.
     fn check_against_model(cfg: CacheConfig, seed: u64) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -566,7 +606,11 @@ mod tests {
         for step in 0..20_000 {
             let index = rng.gen_range(0..cfg.assoc as u64 * 3) * sets + rng.gen_range(0..3);
             let offset = rng.gen_range(0..lb);
-            let addr = if rng.gen_bool(0.2) {
+            let cold = rng.gen_bool(0.1);
+            let addr = if cold {
+                let tag = rng.gen_range(0..u64::MAX / lb / sets);
+                (tag * sets + rng.gen_range(3..sets - 3)) * lb + offset
+            } else if rng.gen_bool(0.2) {
                 (u64::MAX - lb + 1 - index * lb) + offset
             } else {
                 index * lb + offset
@@ -578,7 +622,7 @@ mod tests {
                     let w = rng.gen_bool(0.3);
                     assert_eq!(c.lookup(addr, w), m.lookup(addr, w), "{ctx}");
                 }
-                2 | 3 => {
+                2 | 3 if !cold => {
                     let (d, mask) = (rng.gen_bool(0.3), rng.gen_range(0..16u8) & rng.gen::<u8>());
                     assert_eq!(c.fill(addr, d, mask), m.fill(addr, d, mask), "{ctx}");
                 }
@@ -642,6 +686,27 @@ mod tests {
     fn matches_naive_lru_model_on_table2_geometry() {
         check_against_model(CacheConfig::isca2018_l1d(), 7);
         check_against_model(CacheConfig::isca2018_l2(), 8);
+    }
+
+    #[test]
+    fn sets_get_storage_on_first_fill_only() {
+        let mut c = Cache::new(CacheConfig::isca2018_l2(), "L2");
+        // Blocks handed out, beyond the shared empty one.
+        let handed_out = |c: &Cache| c.lines.len() / c.assoc - 1;
+        let reserved = c.lines.capacity();
+        assert!(!c.lookup(0x1000, true));
+        assert!(!c.probe(0x1000));
+        assert!(!c.access_touches_token(0x1000, 8, 16));
+        assert!(c.invalidate(0x1000).is_none());
+        assert_eq!(handed_out(&c), 0, "no block before the first fill");
+        c.fill(0x1000, false, 0);
+        c.lookup(0x1000, true);
+        c.fill(0x1000 + 64 * 2048, false, 0); // same set
+        assert_eq!(handed_out(&c), 1, "one block after it");
+        c.fill(0x1040, false, 0); // next set
+        assert_eq!(handed_out(&c), 2);
+        assert!(c.lines[..c.assoc].iter().all(|&l| l == 0), "the shared block stays empty");
+        assert_eq!(c.lines.capacity(), reserved, "blocks never reallocate");
     }
 
     #[test]
